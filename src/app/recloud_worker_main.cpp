@@ -27,7 +27,6 @@
 
 #include "exec/worker_context.hpp"
 #include "exec/worker_protocol.hpp"
-#include "routing/bfs_reachability.hpp"
 #include "util/serialize.hpp"
 
 namespace {
@@ -37,6 +36,9 @@ using namespace recloud;
 struct worker_state {
     int fd = -1;
     std::uint64_t worker_id = 0;
+    /// Owns everything the context, support and oracles point into
+    /// (topology, forest, links, the rebuilt fat-tree): handle_env drops
+    /// those before replacing it.
     std::optional<worker_environment> env;
     std::optional<chaos_schedule> chaos;
     std::unique_ptr<verdict_support> support;
@@ -59,11 +61,13 @@ void retire_context_stats(worker_state& state) {
 }
 
 void handle_env(worker_state& state, const envelope& msg) {
-    state.env.emplace(decode_worker_environment(msg.blob));
-    worker_environment& env = *state.env;
-    state.worker_id = env.worker_id;
+    worker_environment decoded = decode_worker_environment(msg.blob);
     retire_context_stats(state);
     state.context.reset();
+    state.support.reset();
+    state.env.emplace(std::move(decoded));
+    worker_environment& env = *state.env;
+    state.worker_id = env.worker_id;
     // Mirror the master's observability state so both sides of the wire
     // count and trace the same runs. Pure telemetry: no RNG, sampler or
     // verdict state is touched (§6 contract).
@@ -92,8 +96,6 @@ void handle_env(worker_state& state, const envelope& msg) {
         state.cache_options.max_entries = env.cache_max_entries;
         state.cache_options.support = state.support.get();
         state.cache_options.cross_plan = env.cache_cross_plan;
-    } else {
-        state.support.reset();
     }
     // hello AFTER the environment is rebuilt: the handshake proves the
     // whole env round-trip, not just process liveness.
@@ -105,15 +107,10 @@ void handle_setup(worker_state& state, const envelope& msg) {
         throw transport_error{"setup before environment"};
     }
     const worker_environment& env = *state.env;
-    const oracle_factory make_oracle = [&env] {
-        return std::unique_ptr<reachability_oracle>{
-            std::make_unique<bfs_reachability>(
-                env.topology, env.links ? &*env.links : nullptr)};
-    };
     retire_context_stats(state);
     state.context = std::make_unique<worker_context>(
         std::span<const std::byte>{msg.blob}, env.component_count,
-        env.forest ? &*env.forest : nullptr, make_oracle,
+        env.forest ? &*env.forest : nullptr, make_worker_oracle_factory(env),
         state.cache_options);
 }
 

@@ -102,7 +102,8 @@ struct engine_options {
     /// loopback.
     socket_transport_options socket{};
     /// Structural environment shipped to out-of-process workers so they can
-    /// rebuild a route-and-check context (a BFS oracle over this topology).
+    /// rebuild a route-and-check context (the factory oracle's
+    /// remote_rebuild() over this topology: fat-tree or BFS flood).
     /// REQUIRED for the socket transport; ignored by loopback (its workers
     /// use the in-process oracle factory). Borrowed — must outlive the
     /// engine.

@@ -822,22 +822,16 @@ private:
             tracer.add_remote_capture(std::move(t.trace));
         }
         const std::lock_guard lock{fleet_mu_};
-        auto it = std::find_if(fleet_.begin(), fleet_.end(),
-                               [&t](const fleet_slot_totals& e) {
-                                   return e.worker_id == t.worker_id;
-                               });
-        if (it == fleet_.end()) {
-            fleet_.push_back(fleet_slot_totals{t.worker_id});
-            it = std::prev(fleet_.end());
-            std::sort(fleet_.begin(), fleet_.end(),
-                      [](const fleet_slot_totals& a,
-                         const fleet_slot_totals& b) {
-                          return a.worker_id < b.worker_id;
-                      });
-            it = std::find_if(fleet_.begin(), fleet_.end(),
-                              [&t](const fleet_slot_totals& e) {
-                                  return e.worker_id == t.worker_id;
-                              });
+        // fleet_ stays sorted by worker id: insert a new slot in place.
+        auto it = std::lower_bound(
+            fleet_.begin(), fleet_.end(), t.worker_id,
+            [](const fleet_slot_totals& e, std::uint64_t id) {
+                return e.worker_id < id;
+            });
+        if (it == fleet_.end() || it->worker_id != t.worker_id) {
+            fleet_slot_totals entry;
+            entry.worker_id = t.worker_id;
+            it = fleet_.insert(it, entry);
         }
         if (it->pid != 0 && it->pid != t.pid) {
             // Respawned slot: the dead process's last-harvested totals move

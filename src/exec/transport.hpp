@@ -65,8 +65,9 @@ enum class transport_kind : std::uint8_t {
 struct transport_env {
     std::size_t component_count = 0;
     const fault_tree_forest* forest = nullptr;  ///< may be null
-    /// In-process context setup (loopback; socket workers build a BFS
-    /// oracle over the shipped topology instead).
+    /// Worker context setup. Loopback workers call it in-process; the
+    /// socket transport calls it once per env blob to read the oracle's
+    /// remote_rebuild() tag, which the worker process rebuilds from.
     oracle_factory make_oracle;
     /// Per-worker private verdict caches. Loopback workers share
     /// `verdict_cache.support`; socket workers derive their own support

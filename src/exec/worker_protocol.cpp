@@ -5,6 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "routing/bfs_reachability.hpp"
+#include "routing/fat_tree_routing.hpp"
 #include "util/serialize.hpp"
 
 namespace recloud {
@@ -195,6 +197,59 @@ fault_tree_forest decode_forest(byte_reader& in) {
     return forest;
 }
 
+/// Oracle tag: which routing oracle the worker rebuilds (DESIGN.md §10).
+/// A fat_tree_routing travels as (k, reads links, reads forest) when the
+/// links it reads are the ones this env ships; every other oracle, and a
+/// fat-tree one over other links, keeps the worker's BFS flood. A forest
+/// other than the shipped one only selects the oracle's slower legacy path,
+/// so the worker then simply builds it without one.
+void encode_oracle_tag(byte_writer& out, const transport_env& env) {
+    oracle_rebuild rebuild;
+    const link_attachment* links = nullptr;
+    if (env.make_oracle) {
+        const std::unique_ptr<reachability_oracle> oracle = env.make_oracle();
+        rebuild = oracle->remote_rebuild();
+        links = oracle->consulted_links();
+    }
+    if (rebuild.kind != oracle_rebuild::family::fat_tree ||
+        (links != nullptr && links != env.links)) {
+        out.write_u8(static_cast<std::uint8_t>(oracle_rebuild::family::flood));
+        return;
+    }
+    out.write_u8(static_cast<std::uint8_t>(oracle_rebuild::family::fat_tree));
+    out.write_varint(static_cast<std::uint64_t>(rebuild.fat_tree_k));
+    out.write_bool(links != nullptr);
+    out.write_bool(rebuild.forest != nullptr && rebuild.forest == env.forest);
+}
+
+/// Node count of fat_tree::build(k): g^2 cores, k-1 pods of g aggregation
+/// + g edge switches + g^2 hosts, g border switches, one external node.
+std::uint64_t fat_tree_node_count(std::uint64_t k) {
+    const std::uint64_t g = k / 2;
+    return g * g + (k - 1) * (2 * g + g * g) + g + 1;
+}
+
+bool same_structure(const built_topology& a, const built_topology& b) {
+    const network_graph& ga = a.graph;
+    const network_graph& gb = b.graph;
+    if (ga.node_count() != gb.node_count() ||
+        ga.edge_count() != gb.edge_count() || a.hosts != b.hosts ||
+        a.border_switches != b.border_switches || a.external != b.external) {
+        return false;
+    }
+    for (node_id n = 0; n < ga.node_count(); ++n) {
+        if (ga.kind(n) != gb.kind(n)) {
+            return false;
+        }
+    }
+    for (std::uint32_t e = 0; e < ga.edge_count(); ++e) {
+        if (ga.edge_endpoints(e) != gb.edge_endpoints(e)) {
+            return false;
+        }
+    }
+    return true;
+}
+
 }  // namespace
 
 std::vector<std::byte> encode_worker_environment(const transport_env& env,
@@ -207,6 +262,7 @@ std::vector<std::byte> encode_worker_environment(const transport_env& env,
     out.write_u64(worker_id);
     out.write_varint(env.component_count);
     encode_topology(out, *env.topology);
+    encode_oracle_tag(out, env);
     out.write_bool(env.forest != nullptr);
     if (env.forest != nullptr) {
         encode_forest(out, *env.forest);
@@ -245,6 +301,22 @@ worker_environment decode_worker_environment(std::span<const std::byte> blob) {
     env.worker_id = in.read_u64();
     env.component_count = static_cast<std::size_t>(in.read_varint());
     env.topology = decode_topology(in);
+    // k is bounded here, before anything is built from it; the rebuild
+    // itself waits until the whole blob has decoded.
+    std::uint64_t fat_tree_k = 0;
+    const std::uint8_t oracle_kind = in.read_u8();
+    if (oracle_kind ==
+        static_cast<std::uint8_t>(oracle_rebuild::family::fat_tree)) {
+        fat_tree_k = in.read_varint();
+        if (fat_tree_k < 4 || fat_tree_k > 128 || fat_tree_k % 2 != 0) {
+            throw serialize_error{"oracle: fat-tree k out of range"};
+        }
+        env.routing_links = in.read_bool();
+        env.routing_forest = in.read_bool();
+    } else if (oracle_kind !=
+               static_cast<std::uint8_t>(oracle_rebuild::family::flood)) {
+        throw serialize_error{"oracle: unknown kind"};
+    }
     if (in.read_bool()) {
         env.forest.emplace(decode_forest(in));
     }
@@ -276,7 +348,43 @@ worker_environment decode_worker_environment(std::span<const std::byte> blob) {
     if (!in.at_end()) {
         throw serialize_error{"worker environment: trailing bytes"};
     }
+    if (fat_tree_k != 0) {
+        if ((env.routing_links && !env.links) ||
+            (env.routing_forest && !env.forest)) {
+            throw serialize_error{"oracle: reads links or forest not shipped"};
+        }
+        // The node count is checked first so a mismatched k never builds a
+        // large tree; then the rebuilt tree must be the shipped topology.
+        if (fat_tree_node_count(fat_tree_k) !=
+            env.topology.graph.node_count()) {
+            throw serialize_error{"oracle: fat-tree k does not match topology"};
+        }
+        env.routing_tree.emplace(
+            fat_tree::build(static_cast<int>(fat_tree_k)));
+        if (!same_structure(env.routing_tree->topology(), env.topology)) {
+            throw serialize_error{"oracle: fat-tree k does not match topology"};
+        }
+    }
     return env;
+}
+
+oracle_factory make_worker_oracle_factory(const worker_environment& env) {
+    const link_attachment* links = env.links ? &*env.links : nullptr;
+    if (env.routing_tree) {
+        const fat_tree* tree = &*env.routing_tree;
+        const link_attachment* tree_links = env.routing_links ? links : nullptr;
+        const fault_tree_forest* forest =
+            env.routing_forest ? &*env.forest : nullptr;
+        return [tree, tree_links, forest] {
+            return std::unique_ptr<reachability_oracle>{
+                std::make_unique<fat_tree_routing>(*tree, tree_links, forest)};
+        };
+    }
+    const built_topology* topology = &env.topology;
+    return [topology, links] {
+        return std::unique_ptr<reachability_oracle>{
+            std::make_unique<bfs_reachability>(*topology, links)};
+    };
 }
 
 namespace {

@@ -28,6 +28,8 @@
 #include "faults/fault_tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "routing/oracle.hpp"
+#include "topology/fat_tree.hpp"
 #include "topology/graph.hpp"
 #include "topology/links.hpp"
 
@@ -77,16 +79,21 @@ struct envelope {
 [[nodiscard]] envelope unpack_envelope(std::span<const std::byte> framed);
 
 /// The structural environment a worker process rebuilds its route-and-check
-/// context from: decoded topology/forest/links plus the chaos schedule and
-/// verdict-cache configuration. The decoded forest reproduces the master's
-/// tree node ids 1:1 (children always have smaller ids, so re-adding in id
-/// order is an identity).
+/// context from: decoded topology/forest/links, the routing oracle to judge
+/// with, plus the chaos schedule and verdict-cache configuration. The
+/// decoded forest reproduces the master's tree node ids 1:1 (children
+/// always have smaller ids, so re-adding in id order is an identity).
 struct worker_environment {
     std::uint64_t worker_id = 0;
     std::size_t component_count = 0;
     built_topology topology;
     std::optional<fault_tree_forest> forest;
     std::optional<link_attachment> links;
+    /// Set when the master's oracle is a fat_tree_routing: fat_tree::build(k)
+    /// rebuilt here and checked equal to `topology`. Unset = BFS flood.
+    std::optional<fat_tree> routing_tree;
+    bool routing_links = false;   ///< the fat-tree oracle reads `links`
+    bool routing_forest = false;  ///< the fat-tree oracle reads `forest`
     bool chaos_enabled = false;
     chaos_options chaos{};
     bool cache_enabled = false;
@@ -105,9 +112,17 @@ struct worker_environment {
 [[nodiscard]] std::vector<std::byte> encode_worker_environment(
     const transport_env& env, std::uint64_t worker_id);
 
-/// Decodes an `env` blob. Throws serialize_error on malformed input.
+/// Decodes an `env` blob. Throws serialize_error on malformed input,
+/// including a fat-tree oracle tag whose k is out of range or whose
+/// fat_tree::build(k) differs from the shipped topology.
 [[nodiscard]] worker_environment decode_worker_environment(
     std::span<const std::byte> blob);
+
+/// The oracle factory a worker judges with: fat_tree_routing over
+/// env.routing_tree when set, else bfs_reachability over the shipped
+/// topology and links. `env` must outlive the factory and its oracles.
+[[nodiscard]] oracle_factory make_worker_oracle_factory(
+    const worker_environment& env);
 
 /// One worker process's observability payload for a telemetry harvest
 /// round-trip. Metrics are the registry DELTA since the previous harvest

@@ -1,5 +1,7 @@
 #include "obs/build_info.hpp"
 
+#include "util/json.hpp"
+
 #ifndef RECLOUD_GIT_HASH
 #define RECLOUD_GIT_HASH "unknown"
 #endif
@@ -26,33 +28,20 @@ constexpr build_info_t info{
     RECLOUD_SANITIZER,
 };
 
-/// build_info strings are compiler/CMake-produced identifiers; escaping is
-/// limited to quotes/backslashes so this file needn't pull in report.
-std::string escape(const char* text) {
-    std::string out;
-    for (const char* p = text; *p != '\0'; ++p) {
-        if (*p == '"' || *p == '\\') {
-            out.push_back('\\');
-        }
-        out.push_back(*p);
-    }
-    return out;
-}
-
 }  // namespace
 
 const build_info_t& build_info() noexcept { return info; }
 
 std::string build_info_json() {
-    std::string out = "{\"git\":\"";
-    out += escape(info.git_hash);
-    out += "\",\"compiler\":\"";
-    out += escape(info.compiler);
-    out += "\",\"build_type\":\"";
-    out += escape(info.build_type);
-    out += "\",\"sanitizer\":\"";
-    out += escape(info.sanitizer);
-    out += "\"}";
+    std::string out = "{\"git\":";
+    append_json_string(out, info.git_hash);
+    out += ",\"compiler\":";
+    append_json_string(out, info.compiler);
+    out += ",\"build_type\":";
+    append_json_string(out, info.build_type);
+    out += ",\"sanitizer\":";
+    append_json_string(out, info.sanitizer);
+    out += "}";
     return out;
 }
 

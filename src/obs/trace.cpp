@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/build_info.hpp"
+#include "util/json.hpp"
 
 namespace recloud::obs {
 namespace {
@@ -228,9 +229,9 @@ void append_meta(std::string& out, bool& first, std::uint32_t pid,
     out += std::to_string(tid);
     out += ",\"name\":\"";
     out += what;
-    out += "\",\"args\":{\"name\":\"";
-    out += name;  // pool/caller-chosen names: no escapes needed
-    out += "\"}}";
+    out += "\",\"args\":{\"name\":";
+    append_json_string(out, name);
+    out += "}}";
 }
 
 void append_span(std::string& out, bool& first, std::uint32_t pid,
@@ -249,9 +250,9 @@ void append_span(std::string& out, bool& first, std::uint32_t pid,
     append_us(out, start_ns);
     out += ",\"dur\":";
     append_us(out, dur_ns);
-    out += ",\"name\":\"";
-    out += name;  // literals chosen by this codebase: no escapes
-    out += "\",\"cat\":\"recloud\"}";
+    out += ",\"name\":";
+    append_json_string(out, name);
+    out += ",\"cat\":\"recloud\"}";
     if (flow_id == 0 || flow_phase == flow_none) {
         return;
     }
@@ -271,9 +272,9 @@ void append_span(std::string& out, bool& first, std::uint32_t pid,
     out += std::to_string(tid);
     out += ",\"ts\":";
     append_us(out, start_ns);
-    out += ",\"name\":\"";
-    out += name;
-    out += "\",\"cat\":\"recloud.flow\"}";
+    out += ",\"name\":";
+    append_json_string(out, name);
+    out += ",\"cat\":\"recloud.flow\"}";
 }
 
 }  // namespace

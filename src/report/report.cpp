@@ -24,31 +24,6 @@ std::string number(double value) {
 
 }  // namespace
 
-std::string json_escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size() + 2);
-    out.push_back('"');
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                    out += buffer;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
 std::string to_json(const assessment_stats& stats) {
     std::ostringstream out;
     out << "{\"rounds\":" << stats.rounds << ",\"reliable\":" << stats.reliable

@@ -11,11 +11,9 @@
 #include "obs/metrics.hpp"
 #include "search/annealing.hpp"
 #include "service/deployment_service.hpp"
+#include "util/json.hpp"
 
 namespace recloud {
-
-/// Escapes a string for inclusion in a JSON document (quotes included).
-[[nodiscard]] std::string json_escape(const std::string& text);
 
 /// {"rounds":..,"reliable":..,"reliability":..,"variance":..,"ciw95":..}
 [[nodiscard]] std::string to_json(const assessment_stats& stats);

@@ -83,6 +83,11 @@ public:
         const noexcept override {
         return links_;
     }
+    /// Rebuilt remotely as fat_tree_routing over fat_tree::build(k) with
+    /// the same links and forest, so socket workers skip the flood.
+    [[nodiscard]] oracle_rebuild remote_rebuild() const noexcept override {
+        return {oracle_rebuild::family::fat_tree, tree_->k(), forest_};
+    }
 
 private:
     [[nodiscard]] bool node_ok(node_id id) { return !rs_->failed(id); }

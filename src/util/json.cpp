@@ -1,0 +1,36 @@
+#include "util/json.hpp"
+
+#include <cstdio>
+
+namespace recloud {
+
+void append_json_string(std::string& out, std::string_view text) {
+    out.push_back('"');
+    for (const char c : text) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buffer[8];
+                    std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+                    out += buffer;
+                } else {
+                    out.push_back(c);
+                }
+        }
+    }
+    out.push_back('"');
+}
+
+std::string json_escape(std::string_view text) {
+    std::string out;
+    out.reserve(text.size() + 2);
+    append_json_string(out, text);
+    return out;
+}
+
+}  // namespace recloud

@@ -161,6 +161,33 @@ TEST(Tracer, NestedSpansExportInCompletionOrder) {
     tracer.reset();
 }
 
+TEST(Tracer, ThreadNamesAreEscapedInTheExport) {
+    obs::tracer& tracer = obs::tracer::global();
+    tracer.reset();
+    tracer.start();
+    std::thread{[&tracer] {
+        tracer.set_current_thread_name("a\"b\\c");
+        obs::scoped_span span{"escaped"};
+    }}.join();
+    tracer.stop();
+    EXPECT_NE(tracer.export_chrome_trace().find(R"("a\"b\\c")"),
+              std::string::npos);
+    const std::string path =
+        ::testing::TempDir() + "recloud_escaped_thread_trace.json";
+    ASSERT_TRUE(tracer.export_to_file(path));
+    tracer.reset();
+    if (std::system("python3 --version > /dev/null 2>&1") != 0) {
+        std::remove(path.c_str());
+        GTEST_SKIP() << "python3 not available to run validate_trace.py";
+    }
+    // The validator json.load()s the file, so an unescaped quote fails it.
+    const std::string command = std::string{"python3 "} + RECLOUD_SOURCE_DIR +
+                                "/scripts/validate_trace.py " + path +
+                                " --require-span escaped";
+    EXPECT_EQ(std::system(command.c_str()), 0);
+    std::remove(path.c_str());
+}
+
 TEST(Tracer, FullRingDropsNewestAndCountsIt) {
     obs::tracer& tracer = obs::tracer::global();
     tracer.reset();

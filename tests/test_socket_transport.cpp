@@ -25,13 +25,16 @@
 #include <sys/wait.h>
 
 #include "assess/assessor.hpp"
+#include "core/scenario.hpp"
 #include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/bfs_reachability.hpp"
+#include "routing/fat_tree_routing.hpp"
 #include "sampling/extended_dagger.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/leaf_spine.hpp"
+#include "util/serialize.hpp"
 
 namespace recloud {
 namespace {
@@ -202,6 +205,186 @@ TEST(WorkerProtocol, EnvironmentRequiresTopology) {
     transport_env env;
     env.component_count = 3;
     EXPECT_THROW((void)encode_worker_environment(env, 0), transport_error);
+}
+
+// ---- wire protocol: the oracle tag (DESIGN §10) ---------------------------
+
+/// A k=4 fat-tree environment; tests choose the oracle factory.
+struct fat_tree_env_fixture {
+    fat_tree tree = fat_tree::build(4);
+    fault_tree_forest forest{tree.graph().node_count()};
+
+    transport_env env(oracle_factory make_oracle) const {
+        transport_env out;
+        out.component_count = tree.graph().node_count();
+        out.forest = &forest;
+        out.topology = &tree.topology();
+        out.make_oracle = std::move(make_oracle);
+        return out;
+    }
+
+    oracle_factory closed_form() const {
+        return [this] {
+            return std::make_unique<fat_tree_routing>(tree, nullptr, &forest);
+        };
+    }
+
+    oracle_factory flood() const {
+        return [this] {
+            return std::make_unique<bfs_reachability>(tree.topology());
+        };
+    }
+};
+
+/// Offset of the oracle tag: the first byte where a flood blob and a
+/// fat-tree blob of the same environment differ.
+std::size_t oracle_tag_offset(const std::vector<std::byte>& flood,
+                              const std::vector<std::byte>& closed_form) {
+    return static_cast<std::size_t>(
+        std::mismatch(flood.begin(), flood.end(), closed_form.begin()).first -
+        flood.begin());
+}
+
+/// `flood` with its one-byte flood tag replaced by a fat-tree tag.
+std::vector<std::byte> with_fat_tree_tag(const std::vector<std::byte>& flood,
+                                         std::size_t tag_at, std::uint64_t k,
+                                         bool links, bool forest) {
+    byte_writer tag;
+    tag.write_u8(static_cast<std::uint8_t>(oracle_rebuild::family::fat_tree));
+    tag.write_varint(k);
+    tag.write_bool(links);
+    tag.write_bool(forest);
+    const std::vector<std::byte> bytes = tag.take();
+    std::vector<std::byte> out(flood.begin(),
+                               flood.begin() + static_cast<std::ptrdiff_t>(tag_at));
+    out.insert(out.end(), bytes.begin(), bytes.end());
+    out.insert(out.end(),
+               flood.begin() + static_cast<std::ptrdiff_t>(tag_at) + 1,
+               flood.end());
+    return out;
+}
+
+TEST(WorkerProtocol, FatTreeOracleTagRebuildsTheClosedForm) {
+    const fat_tree_env_fixture f;
+    const worker_environment decoded = decode_worker_environment(
+        encode_worker_environment(f.env(f.closed_form()), 0));
+    ASSERT_TRUE(decoded.routing_tree.has_value());
+    EXPECT_EQ(decoded.routing_tree->k(), 4);
+    EXPECT_FALSE(decoded.routing_links);
+    EXPECT_TRUE(decoded.routing_forest);
+    const std::unique_ptr<reachability_oracle> oracle =
+        make_worker_oracle_factory(decoded)();
+    const oracle_rebuild rebuild = oracle->remote_rebuild();
+    EXPECT_EQ(rebuild.kind, oracle_rebuild::family::fat_tree);
+    EXPECT_EQ(rebuild.fat_tree_k, 4);
+    EXPECT_EQ(rebuild.forest, &*decoded.forest);
+    EXPECT_EQ(oracle->consulted_links(), nullptr);
+}
+
+TEST(WorkerProtocol, OtherOraclesKeepTheFlood) {
+    const fat_tree_env_fixture f;
+    const auto worker_kind = [](const transport_env& env) {
+        const worker_environment decoded =
+            decode_worker_environment(encode_worker_environment(env, 0));
+        return make_worker_oracle_factory(decoded)()->remote_rebuild().kind;
+    };
+    // A BFS factory over a fat-tree graph stays a flood on the worker: the
+    // worker never recognises fat-trees by itself.
+    EXPECT_EQ(worker_kind(f.env(f.flood())), oracle_rebuild::family::flood);
+    // No factory at all.
+    EXPECT_EQ(worker_kind(f.env({})), oracle_rebuild::family::flood);
+    // A fat-tree oracle over links the env does not ship.
+    link_attachment links;
+    links.component_of_edge.assign(f.tree.graph().edge_count(), invalid_node);
+    EXPECT_EQ(worker_kind(f.env([&f, &links] {
+                  return std::make_unique<fat_tree_routing>(f.tree, &links,
+                                                            &f.forest);
+              })),
+              oracle_rebuild::family::flood);
+    // A forest other than the shipped one: rebuilt without a forest (the
+    // oracle's legacy path, the same verdicts).
+    const fault_tree_forest other{f.tree.graph().node_count()};
+    const worker_environment decoded =
+        decode_worker_environment(encode_worker_environment(
+            f.env([&f, &other] {
+                return std::make_unique<fat_tree_routing>(f.tree, nullptr,
+                                                          &other);
+            }),
+            0));
+    ASSERT_TRUE(decoded.routing_tree.has_value());
+    EXPECT_FALSE(decoded.routing_forest);
+    EXPECT_EQ(make_worker_oracle_factory(decoded)()->remote_rebuild().forest,
+              nullptr);
+}
+
+TEST(WorkerProtocol, FatTreeOracleTagFailsClosed) {
+    const fat_tree_env_fixture f;
+    const std::vector<std::byte> flood =
+        encode_worker_environment(f.env(f.flood()), 0);
+    const std::vector<std::byte> closed_form =
+        encode_worker_environment(f.env(f.closed_form()), 0);
+    const std::size_t tag_at = oracle_tag_offset(flood, closed_form);
+    // The surgery reproduces the master's own fat-tree blob.
+    ASSERT_EQ(with_fat_tree_tag(flood, tag_at, 4, false, true), closed_form);
+
+    // k odd, below 4, above 128, or a huge varint: rejected before any
+    // fat_tree::build.
+    for (const std::uint64_t k :
+         {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{3},
+          std::uint64_t{5}, std::uint64_t{129}, std::uint64_t{130},
+          std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(k);
+        EXPECT_THROW((void)decode_worker_environment(
+                         with_fat_tree_tag(flood, tag_at, k, false, true)),
+                     serialize_error);
+    }
+    // A valid k that is not the shipped tree's.
+    EXPECT_THROW((void)decode_worker_environment(
+                     with_fat_tree_tag(flood, tag_at, 6, false, true)),
+                 serialize_error);
+    // Reads links the env does not ship.
+    EXPECT_THROW((void)decode_worker_environment(
+                     with_fat_tree_tag(flood, tag_at, 4, true, true)),
+                 serialize_error);
+    // An unknown oracle kind.
+    std::vector<std::byte> unknown = flood;
+    unknown[tag_at] = std::byte{7};
+    EXPECT_THROW((void)decode_worker_environment(unknown), serialize_error);
+
+    // The right node count and k, but one host rewired to another rack: the
+    // shipped graph is not fat_tree::build(4), so no worker may judge it
+    // with the closed form.
+    const network_graph& graph = f.tree.graph();
+    const node_id host = f.tree.host(0, 0, 0);
+    const std::uint32_t uplink = graph.edge_id(f.tree.edge(0, 0), host);
+    built_topology rewired;
+    for (node_id n = 0; n < graph.node_count(); ++n) {
+        (void)rewired.graph.add_node(graph.kind(n));
+    }
+    for (std::uint32_t e = 0; e < graph.edge_count(); ++e) {
+        const auto [a, b] = graph.edge_endpoints(e);
+        if (e == uplink) {
+            rewired.graph.add_edge(f.tree.edge(0, 1), host);
+        } else {
+            rewired.graph.add_edge(a, b);
+        }
+    }
+    rewired.graph.freeze();
+    rewired.hosts = f.tree.topology().hosts;
+    rewired.border_switches = f.tree.topology().border_switches;
+    rewired.external = f.tree.topology().external;
+    transport_env env = f.env(f.closed_form());
+    env.topology = &rewired;
+    EXPECT_THROW((void)decode_worker_environment(
+                     encode_worker_environment(env, 0)),
+                 serialize_error);
+    // Same graph, different host list.
+    built_topology reordered = f.tree.topology();
+    std::reverse(reordered.hosts.begin(), reordered.hosts.end());
+    env.topology = &reordered;
+    EXPECT_THROW((void)decode_worker_environment(
+                     encode_worker_environment(env, 0)),
+                 serialize_error);
 }
 
 // ---- socket transport: determinism ---------------------------------------
@@ -699,6 +882,102 @@ TEST(TelemetryHarvest, HarvestBetweenAssessmentsIsPureObservability) {
     const auto [off_first, off_second] = run(false);
     expect_identical(on_first, off_first);
     expect_identical(on_second, off_second);
+}
+
+// ---- the scenario's own oracle across the process boundary ----------------
+
+TEST(SocketTransport, FatTreeScenarioOracleMatchesLoopbackWithoutFloods) {
+    // Socket workers judge with the oracle the master's factory names
+    // (DESIGN §10): a fat-tree scenario's fat_tree_routing, rebuilt in every
+    // worker process. With the cache and cross-plan retention on, a socket
+    // fleet must agree with a loopback fleet bit for bit — stats and
+    // verdict-cache counters — and neither may run a single flood.
+    for (const bool model_links : {false, true}) {
+        SCOPED_TRACE(model_links ? "links modelled" : "links infallible");
+        infrastructure_options infra;
+        infra.model_link_failures = model_links;
+        const scenario_ptr s = make_fat_tree_scenario(8, infra);
+        const verdict_support support{s->topology(), s->registry().size(),
+                                      s->forest(), s->links()};
+        const application app = application::k_of_n(2, 3);
+        const std::vector<node_id>& hosts = s->topology().hosts;
+        std::vector<deployment_plan> plans(3);
+        plans[0].hosts = {hosts[0], hosts[20], hosts[40]};
+        plans[1].hosts = {hosts[0], hosts[20], hosts[60]};
+        plans[2] = plans[0];
+
+        struct fleet_run {
+            std::vector<assessment_stats> stats;
+            verdict_cache_stats cache;
+            std::uint64_t floods = 0;
+            std::uint64_t rebinds = 0;
+        };
+        const auto run = [&](bool over_sockets) {
+            obs_state_guard guard;
+            obs::metrics_registry& registry = obs::metrics_registry::global();
+            registry.reset();
+            registry.set_enabled(true);
+            engine_options options;
+            options.workers = 2;
+            options.batch_rounds = 100;
+            options.verdict_cache.enabled = true;
+            options.verdict_cache.max_entries = 1 << 12;
+            options.verdict_cache.cross_plan = true;
+            if (over_sockets) {
+                options.transport = transport_kind::socket;
+                options.socket = worker_bin_options();
+                options.topology = &s->topology();
+                options.links = s->links();
+            } else {
+                options.verdict_cache.support = &support;
+            }
+            fleet_run out;
+            {
+                extended_dagger_sampler sampler{s->registry().probabilities(),
+                                                k_seed};
+                assessment_engine engine{s->registry().size(), s->forest(),
+                                         [s] { return s->make_oracle(); },
+                                         options};
+                for (const deployment_plan& plan : plans) {
+                    out.stats.push_back(
+                        engine.assess(sampler, app, plan, k_rounds));
+                }
+                engine.harvest_telemetry();
+                EXPECT_NE(engine.cache_stats(), nullptr);
+                if (engine.cache_stats() != nullptr) {
+                    out.cache = *engine.cache_stats();
+                }
+            }
+            const obs::telemetry_snapshot snapshot = registry.snapshot();
+            out.floods = snapshot.value("route.floods");
+            out.rebinds = snapshot.value("cache.rebinds");
+            return out;
+        };
+        const fleet_run sock = run(true);
+        const fleet_run loop = run(false);
+        ASSERT_EQ(sock.stats.size(), loop.stats.size());
+        for (std::size_t i = 0; i < sock.stats.size(); ++i) {
+            EXPECT_EQ(sock.stats[i].rounds, loop.stats[i].rounds);
+            EXPECT_EQ(sock.stats[i].reliable, loop.stats[i].reliable);
+            EXPECT_EQ(sock.stats[i].reliability, loop.stats[i].reliability);
+            EXPECT_EQ(sock.stats[i].variance, loop.stats[i].variance);
+            EXPECT_EQ(sock.stats[i].ciw95, loop.stats[i].ciw95);
+        }
+        // Cache misses are judged by the oracle: a flood oracle would count.
+        EXPECT_GT(sock.cache.misses, 0u);
+        EXPECT_EQ(sock.floods, 0u);
+        EXPECT_EQ(loop.floods, 0u);
+        // The harvest did reach the workers' registries.
+        EXPECT_GT(sock.rebinds, 0u);
+        EXPECT_EQ(sock.rebinds, loop.rebinds);
+        EXPECT_EQ(sock.cache.rounds, loop.cache.rounds);
+        EXPECT_EQ(sock.cache.empty_hits, loop.cache.empty_hits);
+        EXPECT_EQ(sock.cache.hits, loop.cache.hits);
+        EXPECT_EQ(sock.cache.misses, loop.cache.misses);
+        EXPECT_EQ(sock.cache.warm_rebinds, loop.cache.warm_rebinds);
+        EXPECT_EQ(sock.cache.cross_plan_hits, loop.cache.cross_plan_hits);
+        EXPECT_GT(sock.cache.hits + sock.cache.empty_hits, 0u);
+    }
 }
 
 }  // namespace
